@@ -56,7 +56,7 @@ from .base import (
     create,
     register,
 )
-from .sampler import CompressionSampler, shared_compress
+from .sampler import content_address, shared_compress
 from .stats import CompressionThreshold
 
 #: Frozen payload-format constants: the tag byte each kernel's payload
@@ -94,6 +94,16 @@ _KIND_SAMPLES = _KIND_CHUNKS * _CHUNK_WORDS
 _PRINTABLE = bytes(1 if 0x20 <= b <= 0x7E else 0 for b in range(256))
 
 _unpack_chunk = struct.Struct(f"<{_CHUNK_WORDS}I").unpack_from
+
+#: Bound on the learned ``kind -> kernel`` memo (FIFO eviction).
+KIND_MEMO_MAX = 1024
+
+#: Bound on the per-instance finished-result memo (content address ->
+#: tagged result), which makes re-seen page bytes cost one hash plus a
+#: dict probe instead of a kernel run.  Per-instance rather than
+#: process-wide because the selector's choice depends on this instance's
+#: history; FIFO eviction.
+RESULT_MEMO_MAX = 8192
 
 
 def page_kind(data: bytes) -> Tuple:
@@ -158,13 +168,9 @@ class AdaptiveCompressor(Compressor):
         resample_every: re-run full trials after this many memo hits on
             one kind, so a drifting kind re-elects its kernel
             deterministically.
-        memo_max: bound on remembered kinds (FIFO eviction).
-        result_memo_max: bound on the per-instance finished-result memo
-            (content fingerprint -> tagged result), which makes re-seen
-            page bytes cost one hash plus a dict probe instead of a
-            kernel run.  Per-instance rather than process-wide because
-            the selector's choice depends on this instance's history;
-            FIFO eviction.
+
+    Both memos are bounded by module constants (:data:`KIND_MEMO_MAX`,
+    :data:`RESULT_MEMO_MAX`).
     """
 
     def __init__(
@@ -173,15 +179,9 @@ class AdaptiveCompressor(Compressor):
         candidates: Optional[Sequence[str]] = None,
         threshold_factor: float = 4.0 / 3.0,
         resample_every: int = 32,
-        memo_max: int = 1024,
-        result_memo_max: int = 8192,
     ):
         if resample_every < 1:
             raise ValueError("resample_every must be >= 1")
-        if memo_max < 1:
-            raise ValueError("memo_max must be >= 1")
-        if result_memo_max < 1:
-            raise ValueError("result_memo_max must be >= 1")
         names = tuple(candidates) if candidates is not None else (
             DEFAULT_CANDIDATES
         )
@@ -200,14 +200,12 @@ class AdaptiveCompressor(Compressor):
         self.candidate_names = names
         self.threshold = CompressionThreshold(threshold_factor)
         self.resample_every = resample_every
-        self.memo_max = memo_max
-        self.result_memo_max = result_memo_max
         self._kernels: Tuple[Compressor, ...] = tuple(
             create(name, fast=fast) for name in names
         )
         #: kind -> [candidate index, memo hits since last trial]
         self._memo: Dict[Tuple, List[int]] = {}
-        #: content fingerprint -> (finished tagged result, chosen
+        #: content address -> (finished tagged result, chosen
         #: kernel name or None for a raw fallback); FIFO-bounded.
         self._results: "OrderedDict[bytes, Tuple[CompressionResult, Optional[str]]]" = (
             OrderedDict()
@@ -265,7 +263,7 @@ class AdaptiveCompressor(Compressor):
         self.pages += 1
         if n == 0:
             return CompressionResult(b"", 0, stored_raw=True)
-        fp = CompressionSampler.fingerprint(data)
+        fp = content_address(data)
         memoized = self._results.get(fp)
         if memoized is not None and memoized[0].original_size == n:
             # Re-seen bytes: replay this instance's finished result —
@@ -292,7 +290,7 @@ class AdaptiveCompressor(Compressor):
             self.trials += 1
             index, result = self._run_trials(data, n, fp)
             self._memo[kind] = [index, 0]
-            while len(self._memo) > self.memo_max:
+            while len(self._memo) > KIND_MEMO_MAX:
                 del self._memo[next(iter(self._memo))]
         if result.compressed_size + 1 >= n:
             self.raw_fallbacks += 1
@@ -304,7 +302,7 @@ class AdaptiveCompressor(Compressor):
             tag = KERNEL_TAGS[name]
             final = CompressionResult(bytes([tag]) + result.payload, n)
         self._results[fp] = (final, name)
-        while len(self._results) > self.result_memo_max:
+        while len(self._results) > RESULT_MEMO_MAX:
             self._results.popitem(last=False)
         return final
 

@@ -95,7 +95,7 @@ class Compressor(ABC):
     def result_cache_key(self):
         """Identity under which compress() results may be shared process-wide.
 
-        :class:`~repro.compression.sampler.CompressionSampler` keeps a
+        :func:`~repro.compression.sampler.shared_compress` keeps a
         process-wide content-addressed cache of compression results so
         that independent machines (sweep points, benchmark reps) do not
         re-run the kernel on page content another run already compressed.
@@ -107,26 +107,14 @@ class Compressor(ABC):
         """
         return None
 
-    def compress_many(self, pages: Iterable[bytes]) -> List[CompressionResult]:
-        """Compress a batch of buffers in one call.
-
-        The default implementation simply loops; kernels with reusable
-        scratch state (LZRW1's hash table, LZSS's chains) amortize their
-        setup across the batch automatically because the scratch lives on
-        the instance.  Samplers and sweeps should prefer this entry point
-        for bulk measurement.
-        """
-        compress = self.compress
-        return [compress(page) for page in pages]
-
     def decompress_many(
         self, results: Iterable[CompressionResult]
     ) -> List[bytes]:
         """Decompress a batch of results in one call.
 
-        The inverse of :meth:`compress_many`: one python call boundary
-        for a whole demotion group, with the method lookup amortized
-        across the batch.  Pure content work — safe to run speculatively.
+        One python call boundary for a whole demotion group, with the
+        method lookup amortized across the batch.  Pure content work —
+        safe to run speculatively.
         """
         decompress = self.decompress
         return [decompress(result) for result in results]

@@ -53,7 +53,7 @@ and produces **bit-identical output**, enforced by
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from .base import CompressionResult, Compressor, CorruptDataError, register
 
@@ -265,11 +265,6 @@ class Lzrw1(Compressor):
         if len(out) >= n:
             return CompressionResult(bytes(data), n, stored_raw=True)
         return CompressionResult(bytes(out), n)
-
-    def compress_many(self, pages: Iterable[bytes]) -> List[CompressionResult]:
-        # The hash table and stamps persist on the instance, so the batch
-        # loop amortizes all scratch setup; present for call-site clarity.
-        return super().compress_many(pages)
 
     def decompress(self, result: CompressionResult) -> bytes:
         if result.stored_raw:

@@ -4,55 +4,56 @@ The simulator charges compression *time* from a bandwidth model but needs
 real compressed *sizes* to reproduce the paper's per-application ratios.
 Running a pure-Python LZRW1 on every one of the millions of page
 compressions a sweep performs would be wasteful when page contents repeat,
-so this module memoizes ``(algorithm, content fingerprint) -> compressed
-size``.
+so :class:`CompressionSampler` memoizes ``content key -> CompressionResult``
+in one bounded FIFO memo (safe because entries are pure functions of the
+content).  :meth:`~CompressionSampler.compress` and
+:meth:`~CompressionSampler.compressed_size` read the same memo.
 
-Two modes:
+Three layers sit around that memo, each kept for a reason:
 
-* ``exact`` — every request runs the real compressor (no memo).  Used by
-  the validation tests that prove the memoized mode agrees with reality.
-* ``memo`` (default) — results are cached by a fingerprint of the
-  content bytes.  The cache is bounded; eviction is FIFO, which is safe
-  because entries are pure functions of the content.
-
-Independently of the per-instance memo, deterministic compression results
-are shared *process-wide* through a content-addressed cache
-(:data:`_SHARED_RESULTS`): a fresh sampler still counts its own first
-sight of a page as a miss, but skips the kernel when any earlier run in
-the process already compressed those exact bytes with an identically
-configured algorithm.  Sweeps and benchmark reps, which rebuild the
-machine per point over largely repeating content, are the beneficiaries.
-
-Call sites that only need the stored *size* (ratio bookkeeping, threshold
-checks, reports) should use :meth:`CompressionSampler.compressed_size` —
-it is satisfied by either cache and never forces payload retention.  The
-pageout paths that must hand real payload bytes to the compression cache
-use :meth:`CompressionSampler.compress`.
+* ``exact`` mode runs the real kernel on every request, with no memo —
+  the validation tests and the exact golden digests compare the memo
+  against it.
+* The process-wide, content-addressed cache behind
+  :func:`shared_compress` (:data:`_SHARED_RESULTS`) lets tier-1, sweeps
+  and the perf harness — which rerun the same content in one process —
+  skip kernels another run already paid for.  A fresh sampler still
+  counts its own first sight of a page as a miss, so cache warmth never
+  changes a run's results, only how fast they arrive.
+* The adaptive selector keeps its own exact-content memo
+  (:mod:`repro.compression.adaptive`): its results depend on the
+  instance's selection history, so they cannot be shared process-wide,
+  and its counters feed the adaptive digests.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from .base import CompressionResult, Compressor
 
 _blake2b = hashlib.blake2b
 
-#: Process-wide pure-function cache: ``(compressor key, content
-#: fingerprint) -> CompressionResult``.  Compression is deterministic, so
-#: a result computed by one sampler is valid for every other sampler
-#: driving an identically configured compressor — sweep points and
-#: benchmark reps build a fresh machine (and sampler) per run but touch
-#: largely the same page contents, and without sharing each run re-pays
-#: the full kernel cost for bytes the process has already compressed.
-#:
-#: Only *content-addressed* entries are shared (blake2b fingerprints —
-#: never workload ``stable_key`` strings, which are not pure functions of
-#: the bytes), so cache warmth can never change a simulation's results,
-#: only how fast they are produced.  Per-sampler hit/miss counters are
-#: driven exclusively by the per-instance memos and are unaffected.
+
+def content_address(data: bytes) -> bytes:
+    """BLAKE2b-128 digest of ``data``: the key every memo layer uses.
+
+    Stable across interpreter runs (builtin ``hash`` is randomized by
+    ``PYTHONHASHSEED``) and wide enough (128 bits) that collisions are
+    out of reach even at a memo's full capacity, where a 32-bit checksum
+    such as ``zlib.crc32`` would already be odds-on to alias two pages.
+    """
+    return _blake2b(data, digest_size=16).digest()
+
+
+#: Process-wide pure-function cache: ``(compressor key, content address)
+#: -> CompressionResult``.  Compression is deterministic, so a result
+#: computed for one caller is valid for every other caller driving an
+#: identically configured compressor.  Only *content-addressed* entries
+#: are shared — never workload ``stable_key`` strings, which are not pure
+#: functions of the bytes.
 _SHARED_RESULTS: "OrderedDict[tuple, CompressionResult]" = OrderedDict()
 _SHARED_MAX_ENTRIES = 16384
 
@@ -74,20 +75,16 @@ def shared_compress(
 ) -> CompressionResult:
     """Compress through the process-wide content-addressed cache.
 
-    The standalone counterpart of :meth:`CompressionSampler._compute`,
-    for callers that drive a kernel directly rather than through a
-    sampler — the adaptive selector's trial compressions in particular,
-    which probe several kernels per page and would otherwise re-run
-    every kernel on content some earlier trial (or run) already paid
-    for.  Kernels that opt out of sharing (``result_cache_key() is
-    None``) are simply invoked.
+    The one kernel entry point for sampler misses, the adaptive
+    selector's trial compressions and the service store.
+    ``fingerprint`` is :func:`content_address` of ``data`` when the
+    caller already has it.  Kernels that opt out of sharing
+    (``result_cache_key() is None``) are simply invoked.
     """
     ckey = compressor.result_cache_key()
     if ckey is None:
         return compressor.compress(data)
-    fp = fingerprint if fingerprint is not None else _blake2b(
-        data, digest_size=16
-    ).digest()
+    fp = fingerprint if fingerprint is not None else content_address(data)
     skey = (ckey, fp)
     shared = _SHARED_RESULTS.get(skey)
     if shared is not None and shared.original_size == len(data):
@@ -106,9 +103,6 @@ class CompressionSampler:
         compressor: the algorithm to measure.
         exact: disable memoization entirely.
         max_entries: memo capacity; oldest entries are dropped first.
-        keep_payloads: retain compressed payloads (needed when the
-            simulation verifies decompression round trips; sizes-only
-            otherwise to bound memory).
     """
 
     def __init__(
@@ -116,136 +110,58 @@ class CompressionSampler:
         compressor: Compressor,
         exact: bool = False,
         max_entries: int = 65536,
-        keep_payloads: bool = False,
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.compressor = compressor
         self.exact = exact
         self.max_entries = max_entries
-        self.keep_payloads = keep_payloads
-        self._size_cache: "OrderedDict[object, int]" = OrderedDict()
-        self._payload_cache: "OrderedDict[object, CompressionResult]" = (
-            OrderedDict()
-        )
-        # None opts out of the process-wide result cache (the default for
-        # algorithms that don't declare a config identity).  Exact mode
-        # never shares: its purpose is to run the real kernel every time.
-        self._shared_key = None if exact else compressor.result_cache_key()
+        self._memo: "OrderedDict[object, CompressionResult]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def fingerprint(data: bytes) -> bytes:
-        """Stable content fingerprint.
+    def compress(self, data: bytes,
+                 stable_key: Optional[str] = None,
+                 fingerprint: Optional[bytes] = None) -> CompressionResult:
+        """Compression result for ``data``, from the memo when possible.
 
-        A keyed-at-zero BLAKE2b digest: stable across interpreter runs
-        (builtin ``hash`` is randomized by ``PYTHONHASHSEED``) and wide
-        enough (128 bits) that collisions are out of reach even at the
-        memo's full 65536-entry capacity, where a 32-bit checksum such as
-        ``zlib.crc32`` would already be odds-on to alias two pages.
+        The memo key is ``stable_key`` when given — a workload vouching
+        that in-place updates don't change the page's compressibility
+        class, so one measurement stands in for all its versions — and
+        otherwise the content address, which a caller that already has
+        it (``PageContent.fingerprint()``) passes as ``fingerprint``.
+        Exact mode runs the kernel and counts nothing.
         """
-        return _blake2b(data, digest_size=16).digest()
-
-    def _cache_key(self, data: bytes, stable_key: Optional[str],
-                   fingerprint: Optional[bytes] = None):
-        if stable_key is not None:
-            # A workload vouched that its in-place updates don't change
-            # the page's compressibility class; one measurement stands in
-            # for all versions of the page.
-            return stable_key
-        if fingerprint is not None:
-            # Caller precomputed (or cached) the digest of ``data`` —
-            # e.g. PageContent.fingerprint(), which is byte-identical to
-            # what we would compute here.
-            return fingerprint
-        return _blake2b(data, digest_size=16).digest()
+        if self.exact:
+            return self.compressor.compress(data)
+        if stable_key is None and fingerprint is None:
+            fingerprint = content_address(data)
+        key = fingerprint if stable_key is None else stable_key
+        memo = self._memo
+        cached = memo.get(key)
+        if cached is not None and cached.original_size == len(data):
+            self.hits += 1
+            return cached
+        self.misses += 1
+        # A stable key never addresses the shared cache: shared_compress
+        # keys by the actual bytes (hashing them itself if need be).
+        result = shared_compress(self.compressor, data, fingerprint)
+        memo[key] = result
+        while len(memo) > self.max_entries:
+            memo.popitem(last=False)
+        return result
 
     def compressed_size(self, data: bytes,
                         stable_key: Optional[str] = None,
                         fingerprint: Optional[bytes] = None) -> int:
         """Size in bytes ``data`` occupies after compression.
 
-        The size-only fast path: answered from the size memo (or the
-        payload memo) without touching the compressor whenever this
-        content has been measured before.
+        :meth:`compress` through the same memo; in exact mode each call
+        counts as a miss.
         """
         if self.exact:
             self.misses += 1
-            return self.compressor.compress(data).compressed_size
-        key = self._cache_key(data, stable_key, fingerprint)
-        cached = self._size_cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        result = self._compute(key, data, fingerprint)
-        self._remember(key, result)
-        return result.compressed_size
-
-    def compress(self, data: bytes,
-                 stable_key: Optional[str] = None,
-                 fingerprint: Optional[bytes] = None) -> CompressionResult:
-        """Full compression result, memoized when payloads are kept."""
-        if self.exact:
-            return self.compressor.compress(data)
-        key = self._cache_key(data, stable_key, fingerprint)
-        if self.keep_payloads:
-            cached = self._payload_cache.get(key)
-            if cached is not None and cached.original_size == len(data):
-                self.hits += 1
-                return cached
-        self.misses += 1
-        result = self._compute(key, data, fingerprint)
-        self._remember(key, result)
-        return result
-
-    def _compute(self, key, data: bytes,
-                 fingerprint: Optional[bytes] = None) -> CompressionResult:
-        """Run the kernel — or replay a shared, content-addressed result.
-
-        Reached only on a per-instance memo miss; the caller has already
-        done the hit/miss accounting, so replaying from
-        :data:`_SHARED_RESULTS` changes nothing but the wall clock.
-
-        The shared entry is always addressed by the fingerprint of the
-        *actual bytes* — never by a workload ``stable_key`` string, whose
-        mapping to bytes is per-run and would leak one run's measurement
-        into another's.  When the memo key is a stable key the digest is
-        computed here instead: a memo miss is about to pay for a full
-        kernel run, so hashing the page first is noise.
-        """
-        ckey = self._shared_key
-        if ckey is None:
-            return self.compressor.compress(data)
-        if type(key) is bytes:
-            fp = key
-        elif fingerprint is not None:
-            fp = fingerprint
-        else:
-            fp = _blake2b(data, digest_size=16).digest()
-        skey = (ckey, fp)
-        shared = _SHARED_RESULTS.get(skey)
-        if shared is not None and shared.original_size == len(data):
-            return shared
-        result = self.compressor.compress(data)
-        _SHARED_RESULTS[skey] = result
-        while len(_SHARED_RESULTS) > _SHARED_MAX_ENTRIES:
-            _SHARED_RESULTS.popitem(last=False)
-        return result
-
-    def compress_many(self, pages: Iterable[bytes]) -> List[CompressionResult]:
-        """Batch variant of :meth:`compress` (one memo probe per page)."""
-        return [self.compress(page) for page in pages]
-
-    def _remember(self, key, result: CompressionResult) -> None:
-        self._size_cache[key] = result.compressed_size
-        while len(self._size_cache) > self.max_entries:
-            self._size_cache.popitem(last=False)
-        if self.keep_payloads:
-            self._payload_cache[key] = result
-            while len(self._payload_cache) > self.max_entries:
-                self._payload_cache.popitem(last=False)
+        return self.compress(data, stable_key, fingerprint).compressed_size
 
     @property
     def hit_rate(self) -> float:
@@ -255,7 +171,6 @@ class CompressionSampler:
 
     def clear(self) -> None:
         """Drop all cached measurements."""
-        self._size_cache.clear()
-        self._payload_cache.clear()
+        self._memo.clear()
         self.hits = 0
         self.misses = 0

@@ -16,13 +16,12 @@ between writes return the same object without copying.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from typing import Dict, Optional
 
+from ..compression.sampler import content_address
 from .page import DEFAULT_PAGE_SIZE, WORD_SIZE
 
-_blake2b = hashlib.blake2b
 _pack_into = struct.pack_into
 _unpack_from = struct.unpack_from
 
@@ -93,19 +92,16 @@ class PageContent:
         return data
 
     def fingerprint(self) -> bytes:
-        """BLAKE2b-128 digest of the current bytes, cached per version.
+        """Content address of the current bytes, cached per version.
 
-        The value is byte-identical to
-        ``hashlib.blake2b(self.materialize(), digest_size=16).digest()``,
-        which is what :class:`~repro.compression.sampler.CompressionSampler`
+        The value is :func:`~repro.compression.sampler.content_address`
+        of :meth:`materialize`, which is what the compression sampler
         computes for its memo key — so handing this to the sampler changes
         nothing about hit/miss behaviour, it only skips re-hashing pages
         that have not been written since the last measurement.
         """
         if self._fp_version != self.version:
-            self._fp = _blake2b(
-                self.materialize(), digest_size=16
-            ).digest()
+            self._fp = content_address(self.materialize())
             self._fp_version = self.version
         return self._fp  # type: ignore[return-value]
 

@@ -270,11 +270,11 @@ def bench_micro(reps: int = 5) -> Dict:
         pages = [bytes([n & 0xFF]) * 4096 for n in range(32)]
         ops = 0
         for page in pages:        # misses: one real compression each
-            sampler.compressed_size(page)
+            sampler.compress(page)
             ops += 1
         for _ in range(30):       # hits: memo probes only
             for page in pages:
-                sampler.compressed_size(page)
+                sampler.compress(page)
                 ops += 1
         return ops
 
@@ -463,6 +463,78 @@ def bench_stream_replay(references: int = 10_000_000,
     }
 
 
+def _interleaved_ab(
+    arms: Sequence[Dict],
+    scale: float,
+    reps: int,
+    workloads: Sequence[str] = ("thrasher",),
+    inner: int = 5,
+) -> Tuple[List[float], int]:
+    """Best-of-``reps`` engine wall time for each machine-config arm.
+
+    Each arm is a dict of :class:`MachineConfig` overrides.  One simulated
+    run is ~20 ms — far too short for a stable A/B — so a timing sample
+    runs ``inner`` fresh machines per workload, built before the clock
+    starts.  Every arm is warmed first (the process-wide kernel-result
+    cache means the first arm to run pays all the real compression work),
+    then samples interleave so clock drift cancels instead of biasing
+    one arm.  Returns the best wall per arm and the references per sample.
+    """
+    from .cli import WORKLOAD_FACTORIES  # late import: cli imports us
+
+    def sample(overrides: Dict) -> Tuple[float, int]:
+        prepared = []
+        for _ in range(inner):
+            for name in workloads:
+                workload = WORKLOAD_FACTORIES[name](scale)
+                machine = Machine(
+                    MachineConfig(memory_bytes=mbytes(6 * scale),
+                                  **overrides),
+                    workload.build(),
+                )
+                prepared.append((SimulationEngine(machine),
+                                 list(workload.references())))
+        refs = sum(len(r) for _, r in prepared)
+        t0 = _perf_counter()
+        for engine, ref_list in prepared:
+            engine.run(iter(ref_list))
+        return _perf_counter() - t0, refs
+
+    for overrides in arms:
+        sample(overrides)
+    best = [float("inf")] * len(arms)
+    refs_per_sample = 0
+    for _ in range(max(1, reps)):
+        for index, overrides in enumerate(arms):
+            wall, refs_per_sample = sample(overrides)
+            best[index] = min(best[index], wall)
+    return best, refs_per_sample
+
+
+def _ab_percent(slow: float, fast: float) -> float:
+    """How much slower ``slow`` is than ``fast``, in percent (>= 0)."""
+    return max(0.0, (slow - fast) / fast * 100.0)
+
+
+def _vs_thrasher_floor(
+    baseline_path: Optional[Path], scale: float, pages_per_second: float
+) -> Tuple[Optional[float], Optional[float]]:
+    """The committed thrasher floor and how far a rate falls below it.
+
+    Returns ``(floor, percent below floor)``; both ``None`` when the
+    baseline lacks a matching-scale thrasher floor.
+    """
+    if baseline_path is None or not baseline_path.is_file():
+        return None, None
+    baseline = json.loads(baseline_path.read_text())
+    floors = baseline.get("sim_pages_per_second") or {}
+    if baseline.get("sim_scale") != scale or "thrasher" not in floors:
+        return None, None
+    floor = floors["thrasher"]
+    below = max(0.0, (floor - pages_per_second) / floor * 100.0)
+    return floor, round(below, 2)
+
+
 def bench_fault_overhead(
     scale: float = 0.05,
     reps: int = 8,
@@ -485,63 +557,16 @@ def bench_fault_overhead(
       bookkeeping all engage but never fire).  This bounds the cost of
       *enabling* the layer, a strict superset of the disabled work.
     """
-    from .cli import WORKLOAD_FACTORIES  # late import: cli imports us
     from .faults.plan import FaultPlan
 
-    factory = WORKLOAD_FACTORIES["thrasher"]
     inert = FaultPlan.from_dict({})
-    # One simulated run is ~20 ms — far too short for a stable A/B — so
-    # each timing sample batches several fresh runs, and samples for the
-    # two arms interleave so clock drift cancels instead of biasing one.
-    inner = 5
-
-    def prepare(plan: Optional[FaultPlan]):
-        prepared = []
-        for _ in range(inner):
-            workload = factory(scale)
-            machine = Machine(
-                MachineConfig(memory_bytes=mbytes(6 * scale),
-                              fault_plan=plan),
-                workload.build(),
-            )
-            prepared.append((SimulationEngine(machine),
-                             list(workload.references())))
-        return prepared
-
-    def sample(plan: Optional[FaultPlan]) -> Tuple[float, int]:
-        prepared = prepare(plan)
-        refs = sum(len(r) for _, r in prepared)
-        t0 = _perf_counter()
-        for engine, ref_list in prepared:
-            engine.run(iter(ref_list))
-        return _perf_counter() - t0, refs
-
-    # Warm up BOTH arms: the process-wide kernel-result cache means the
-    # first arm to run pays all the real compression work.
-    sample(None)
-    sample(inert)
-    t_disabled = float("inf")
-    t_inert = float("inf")
-    refs_per_sample = 0
-    for _ in range(max(1, reps)):
-        wall, refs_per_sample = sample(None)
-        t_disabled = min(t_disabled, wall)
-        wall, _ = sample(inert)
-        t_inert = min(t_inert, wall)
-    inert_ab = max(0.0, (t_inert - t_disabled) / t_disabled * 100.0)
-    pages_per_second = refs_per_sample / t_disabled
-
-    vs_baseline: Optional[float] = None
-    floor = None
-    if baseline_path is not None and baseline_path.is_file():
-        baseline = json.loads(baseline_path.read_text())
-        floors = baseline.get("sim_pages_per_second") or {}
-        if baseline.get("sim_scale") == scale and "thrasher" in floors:
-            floor = floors["thrasher"]
-            vs_baseline = max(
-                0.0, (floor - pages_per_second) / floor * 100.0
-            )
-
+    (t_disabled, t_inert), refs = _interleaved_ab(
+        ({}, {"fault_plan": inert}), scale, reps
+    )
+    pages_per_second = refs / t_disabled
+    floor, vs_baseline = _vs_thrasher_floor(
+        baseline_path, scale, pages_per_second
+    )
     return {
         "workload": "thrasher",
         "scale": scale,
@@ -550,10 +575,8 @@ def bench_fault_overhead(
         "inert_plan_wall_seconds": round(t_inert, 4),
         "disabled_pages_per_second": round(pages_per_second, 1),
         "baseline_floor_pages_per_second": floor,
-        "vs_baseline_percent": (
-            None if vs_baseline is None else round(vs_baseline, 2)
-        ),
-        "inert_ab_percent": round(inert_ab, 2),
+        "vs_baseline_percent": vs_baseline,
+        "inert_ab_percent": round(_ab_percent(t_inert, t_disabled), 2),
     }
 
 
@@ -580,59 +603,15 @@ def bench_control(
       the evaluation tick all engage).  This bounds the cost of turning
       the loop on, a strict superset of the disabled work.
     """
-    from .cli import WORKLOAD_FACTORIES  # late import: cli imports us
     from .control.controller import ControlConfig
 
-    factory = WORKLOAD_FACTORIES["thrasher"]
-    enabled = ControlConfig()
-    inner = 5
-
-    def prepare(control: Optional[ControlConfig]):
-        prepared = []
-        for _ in range(inner):
-            workload = factory(scale)
-            machine = Machine(
-                MachineConfig(memory_bytes=mbytes(6 * scale),
-                              control=control),
-                workload.build(),
-            )
-            prepared.append((SimulationEngine(machine),
-                             list(workload.references())))
-        return prepared
-
-    def sample(control: Optional[ControlConfig]) -> Tuple[float, int]:
-        prepared = prepare(control)
-        refs = sum(len(r) for _, r in prepared)
-        t0 = _perf_counter()
-        for engine, ref_list in prepared:
-            engine.run(iter(ref_list))
-        return _perf_counter() - t0, refs
-
-    # Warm up BOTH arms (shared kernel-result cache).
-    sample(None)
-    sample(enabled)
-    t_disabled = float("inf")
-    t_enabled = float("inf")
-    refs_per_sample = 0
-    for _ in range(max(1, reps)):
-        wall, refs_per_sample = sample(None)
-        t_disabled = min(t_disabled, wall)
-        wall, _ = sample(enabled)
-        t_enabled = min(t_enabled, wall)
-    enabled_ab = max(0.0, (t_enabled - t_disabled) / t_disabled * 100.0)
-    pages_per_second = refs_per_sample / t_disabled
-
-    vs_baseline: Optional[float] = None
-    floor = None
-    if baseline_path is not None and baseline_path.is_file():
-        baseline = json.loads(baseline_path.read_text())
-        floors = baseline.get("sim_pages_per_second") or {}
-        if baseline.get("sim_scale") == scale and "thrasher" in floors:
-            floor = floors["thrasher"]
-            vs_baseline = max(
-                0.0, (floor - pages_per_second) / floor * 100.0
-            )
-
+    (t_disabled, t_enabled), refs = _interleaved_ab(
+        ({}, {"control": ControlConfig()}), scale, reps
+    )
+    pages_per_second = refs / t_disabled
+    floor, vs_baseline = _vs_thrasher_floor(
+        baseline_path, scale, pages_per_second
+    )
     return {
         "workload": "thrasher",
         "scale": scale,
@@ -641,10 +620,8 @@ def bench_control(
         "enabled_wall_seconds": round(t_enabled, 4),
         "disabled_pages_per_second": round(pages_per_second, 1),
         "baseline_floor_pages_per_second": floor,
-        "vs_baseline_percent": (
-            None if vs_baseline is None else round(vs_baseline, 2)
-        ),
-        "enabled_ab_percent": round(enabled_ab, 2),
+        "vs_baseline_percent": vs_baseline,
+        "enabled_ab_percent": round(_ab_percent(t_enabled, t_disabled), 2),
     }
 
 
@@ -655,54 +632,21 @@ def bench_adaptive(
 ) -> Dict:
     """Measure the adaptive selector's CPU cost against plain lzrw1.
 
-    Same-process A/B, interleaved samples, best-of-reps: each sample
-    runs one freshly built machine per workload with the given kernel
-    and times the whole engine run.  Both arms are warmed first (the
-    process-wide result cache means the first arm to run pays all the
-    real compression work), so the reported ``overhead_percent`` is the
-    steady-state selector cost — the kind fingerprint, memo probes, and
-    periodic re-trials — not the one-time trial compressions.  Target:
-    under 10%.
+    Same-process interleaved A/B (:func:`_interleaved_ab`): each sample
+    runs freshly built machines per workload with the given kernel and
+    times the whole engine run.  Both arms are warmed from an empty
+    process-wide result cache, so the reported ``overhead_percent`` is
+    the steady-state selector cost — the kind fingerprint, memo probes,
+    and periodic re-trials — not the one-time trial compressions.
+    Target: under 10%.
     """
-    from .cli import WORKLOAD_FACTORIES  # late import: cli imports us
     from .compression.sampler import clear_shared_results
 
-    inner = 3
-
-    def prepare(kernel: str):
-        prepared = []
-        for _ in range(inner):
-            for name in workloads:
-                workload = WORKLOAD_FACTORIES[name](scale)
-                machine = Machine(
-                    MachineConfig(memory_bytes=mbytes(6 * scale),
-                                  compressor=kernel),
-                    workload.build(),
-                )
-                prepared.append((SimulationEngine(machine),
-                                 list(workload.references())))
-        return prepared
-
-    def sample(kernel: str) -> Tuple[float, int]:
-        prepared = prepare(kernel)
-        refs = sum(len(r) for _, r in prepared)
-        t0 = _perf_counter()
-        for engine, ref_list in prepared:
-            engine.run(iter(ref_list))
-        return _perf_counter() - t0, refs
-
     clear_shared_results()
-    sample("lzrw1")
-    sample("adaptive")
-    t_single = float("inf")
-    t_adaptive = float("inf")
-    refs_per_sample = 0
-    for _ in range(max(1, reps)):
-        wall, refs_per_sample = sample("lzrw1")
-        t_single = min(t_single, wall)
-        wall, _ = sample("adaptive")
-        t_adaptive = min(t_adaptive, wall)
-    overhead = max(0.0, (t_adaptive - t_single) / t_single * 100.0)
+    (t_single, t_adaptive), refs = _interleaved_ab(
+        ({"compressor": "lzrw1"}, {"compressor": "adaptive"}),
+        scale, reps, workloads=workloads, inner=3,
+    )
     return {
         "workloads": list(workloads),
         "scale": scale,
@@ -710,11 +654,9 @@ def bench_adaptive(
         "single_kernel": "lzrw1",
         "single_wall_seconds": round(t_single, 4),
         "adaptive_wall_seconds": round(t_adaptive, 4),
-        "single_pages_per_second": round(refs_per_sample / t_single, 1),
-        "adaptive_pages_per_second": round(
-            refs_per_sample / t_adaptive, 1
-        ),
-        "overhead_percent": round(overhead, 2),
+        "single_pages_per_second": round(refs / t_single, 1),
+        "adaptive_pages_per_second": round(refs / t_adaptive, 1),
+        "overhead_percent": round(_ab_percent(t_adaptive, t_single), 2),
     }
 
 

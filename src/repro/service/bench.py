@@ -29,11 +29,12 @@ import asyncio
 import os
 import time
 from collections import Counter
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..workloads.traffic import (
     DELETE,
     GET,
+    PUT,
     TenantTraffic,
     TrafficOp,
     TrafficSpec,
@@ -56,6 +57,20 @@ RETRY_MAX_S = 0.032
 
 #: Import path of :func:`run_service_point` for SweepPoint specs.
 SERVICE_RUNNER = "repro.service.bench:run_service_point"
+
+_OPCODES = {GET: OP_GET, PUT: OP_PUT, DELETE: OP_DELETE}
+
+
+def _wire(
+    op: TrafficOp, traffic: TrafficSpec
+) -> Tuple[int, int, int, Optional[bytes]]:
+    """``(opcode, tenant, key, payload)`` for ``op``, built up front.
+
+    Content generation is the *client's* cost, not the service's: the
+    bench builds every wire before the clock starts, so neither latency
+    nor ``wall_seconds`` includes it.
+    """
+    return (_OPCODES[op.op], op.tenant, op.key, op.payload(traffic))
 
 
 def _config_from_spec(spec: Mapping[str, Any]) -> ServiceConfig:
@@ -99,8 +114,7 @@ def _traffic_from_spec(spec: Mapping[str, Any]) -> TrafficSpec:
 
 async def _client(
     service: CacheService,
-    ops: Sequence[TrafficOp],
-    traffic: TrafficSpec,
+    wires: Sequence[Tuple[int, int, int, Optional[bytes]]],
     recorder: LatencyRecorder,
     statuses: Counter,
     offsets: Optional[Sequence[float]] = None,
@@ -125,20 +139,11 @@ async def _client(
     """
     clock = time.perf_counter
     clock_ns = time.perf_counter_ns
-    for index, op in enumerate(ops):
+    for index, (opcode, tenant, key, payload) in enumerate(wires):
         if offsets is not None:
             delay = start + offsets[index] - clock()
             if delay > 0:
                 await asyncio.sleep(delay)
-        # Generate the payload before the clock starts: content
-        # generation is the *client's* cost, not service latency.
-        payload = op.payload(traffic)
-        if op.op == GET:
-            wire = (OP_GET, None)
-        elif op.op == DELETE:
-            wire = (OP_DELETE, None)
-        else:
-            wire = (OP_PUT, payload)
         # Latency includes the retry loop: time-to-acceptance is what a
         # backpressured caller experiences.
         t0 = clock_ns()
@@ -146,14 +151,14 @@ async def _client(
         while True:
             try:
                 status, _ = await service.submit(
-                    wire[0], op.tenant, op.key, wire[1], wait=False
+                    opcode, tenant, key, payload, wait=False
                 )
                 break
             except BackpressureError as exc:
                 if not exc.retryable:
                     raise
                 if retries is not None:
-                    retries[op.tenant] += 1
+                    retries[tenant] += 1
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2.0, RETRY_MAX_S)
         recorder.record(max(1, (clock_ns() - t0) // 1000))
@@ -191,7 +196,9 @@ async def replay_traffic(
     index_queues: List[List[int]] = [[] for _ in range(clients)]
     for index, op in enumerate(ops):
         index_queues[(op.key % config.vslots) % clients].append(index)
-    queues = [[ops[i] for i in queue] for queue in index_queues]
+    queues = [
+        [_wire(ops[i], traffic) for i in queue] for queue in index_queues
+    ]
     offset_queues: List[Optional[List[float]]] = [
         None if offsets_all is None
         else [offsets_all[i] for i in queue]
@@ -205,7 +212,7 @@ async def replay_traffic(
         retries: Counter = Counter()
         start = time.perf_counter()
         await asyncio.gather(*(
-            _client(service, queue, traffic, recorders[i], statuses,
+            _client(service, queue, recorders[i], statuses,
                     offsets=offset_queues[i], start=start,
                     retries=retries)
             for i, queue in enumerate(queues)

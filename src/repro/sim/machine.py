@@ -330,7 +330,6 @@ class Machine:
                 sampler = CompressionSampler(
                     create_compressor(spec.compressor, fast=config.fast),
                     exact=exact,
-                    keep_payloads=True,
                 )
                 if next_tier is None:
                     backing = self.fragstore

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.compression import CompressionSampler, create
+from repro.compression.sampler import content_address
 
 from ..conftest import sample_pages
 
@@ -38,23 +39,32 @@ class TestMemoization:
 
     def test_capacity_bound(self):
         sampler = CompressionSampler(create("null"), max_entries=4)
-        for i in range(10):
-            sampler.compressed_size(bytes([i]) * 64)
-        assert len(sampler._size_cache) <= 4
+        pages = [bytes([i]) * 64 for i in range(5)]
+        for page in pages:
+            sampler.compress(page)
+        # FIFO eviction at max_entries: the newest four still hit, the
+        # oldest was dropped and is measured again.
+        for page in pages[1:]:
+            sampler.compress(page)
+        assert (sampler.hits, sampler.misses) == (4, 5)
+        sampler.compress(pages[0])
+        assert (sampler.hits, sampler.misses) == (4, 6)
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             CompressionSampler(create("null"), max_entries=0)
 
     def test_clear(self, sampler, rng):
-        sampler.compressed_size(sample_pages(rng)["text"])
+        data = sample_pages(rng)["text"]
+        sampler.compressed_size(data)
         sampler.clear()
         assert sampler.hits == 0 and sampler.misses == 0
-        assert len(sampler._size_cache) == 0
+        sampler.compressed_size(data)
+        assert sampler.hits == 0 and sampler.misses == 1
 
     def test_precomputed_fingerprint_hits_same_entry(self, sampler, rng):
         data = sample_pages(rng)["text"]
-        fp = CompressionSampler.fingerprint(data)
+        fp = content_address(data)
         # Seed the memo *without* a fingerprint, probe *with* one (and
         # vice versa): both spellings must address the same entry.
         size = sampler.compressed_size(data)
@@ -62,10 +72,16 @@ class TestMemoization:
         assert sampler.hits == 1
         assert sampler.compress(data, fingerprint=fp).compressed_size == size
         assert sampler.compressed_size(data) == size
-        assert sampler.hits == 2
-        # compress() without keep_payloads always *accounts* a miss (the
-        # shared result cache may spare the kernel run, never the count).
-        assert sampler.misses == 2
+        assert sampler.hits == 3
+        assert sampler.misses == 1
+
+    def test_compress_and_compressed_size_share_one_memo(self, sampler, rng):
+        pages = sample_pages(rng)
+        result = sampler.compress(pages["text"])
+        assert sampler.compressed_size(pages["text"]) == result.compressed_size
+        size = sampler.compressed_size(pages["tiled"])
+        assert sampler.compress(pages["tiled"]).compressed_size == size
+        assert (sampler.hits, sampler.misses) == (2, 2)
 
 
 class TestStableKeys:
@@ -168,15 +184,16 @@ class TestSharedResults:
 
 
 class TestPayloads:
-    def test_keep_payloads_round_trips(self, rng):
-        sampler = CompressionSampler(create("lzrw1"), keep_payloads=True)
+    def test_compress_round_trips(self, sampler, rng):
         data = sample_pages(rng)["text"]
         result = sampler.compress(data)
         assert sampler.compressor.decompress(result) == data
 
-    def test_payload_cache_hit(self, rng):
-        sampler = CompressionSampler(create("lzrw1"), keep_payloads=True)
+    def test_payload_cache_hit(self, sampler, rng):
+        # A default sampler memoizes full results: the repeat is a hit
+        # that returns the very same result object.
         data = sample_pages(rng)["text"]
         first = sampler.compress(data)
         second = sampler.compress(data)
         assert first is second
+        assert (sampler.hits, sampler.misses) == (1, 1)

@@ -12,7 +12,7 @@ epoch stamps) across calls.
 from hypothesis import given, settings, strategies as st
 
 from repro.compression import available, create
-from repro.compression.sampler import CompressionSampler
+from repro.compression.sampler import CompressionSampler, content_address
 
 _ALGORITHMS = sorted(available())
 
@@ -35,7 +35,7 @@ def _pages():
 def test_memo_agrees_with_exact(pages, data):
     """Sizes and payload round trips match between the two modes."""
     algorithm = data.draw(st.sampled_from(_ALGORITHMS))
-    memo = CompressionSampler(create(algorithm), keep_payloads=True)
+    memo = CompressionSampler(create(algorithm))
     exact = CompressionSampler(create(algorithm), exact=True)
     # Feed duplicates so the memo path actually serves hits.
     stream = pages + pages
@@ -62,9 +62,9 @@ def test_memo_eviction_stays_correct(pages, data):
 
 def test_fingerprint_is_content_based():
     """Equal bytes fingerprint equally; different bytes differ."""
-    a = CompressionSampler.fingerprint(b"x" * 4096)
-    b = CompressionSampler.fingerprint(bytes(b"x" * 4096))
-    c = CompressionSampler.fingerprint(b"y" * 4096)
+    a = content_address(b"x" * 4096)
+    b = content_address(bytes(b"x" * 4096))
+    c = content_address(b"y" * 4096)
     assert a == b
     assert a != c
     assert isinstance(a, bytes)  # stable across runs, unlike hash()
