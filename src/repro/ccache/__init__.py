@@ -4,7 +4,7 @@ from .allocator import (
     AllocationBiases,
     AllocatorCounters,
     MemoryPool,
-    ThreeWayAllocator,
+    TieredAllocator,
 )
 from .circular import CacheCounters, CompressionCache
 from .cleaner import CleanerPolicy
@@ -35,6 +35,6 @@ __all__ = [
     "MemoryPool",
     "SLOT_DESCRIPTOR_BYTES",
     "SlotState",
-    "ThreeWayAllocator",
+    "TieredAllocator",
     "cache_metadata_bytes",
 ]

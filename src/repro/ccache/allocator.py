@@ -24,9 +24,9 @@ The mechanism is not limited to three pools.  :class:`TieredAllocator`
 arbitrates over an *ordered list* of registered pools, each with its own
 ``(weight, bias)`` age terms — the shape an N-tier compressed-memory
 hierarchy needs, where every compressed tier competes for frames
-separately (see :mod:`repro.tiers`).  :class:`ThreeWayAllocator` is the
-paper's three-pool configuration of the same machinery, with its terms
-supplied by an :class:`AllocationBiases` trading policy.
+separately (see :mod:`repro.tiers`).  The paper's three pools are the
+:class:`FrameOwner` keys, with their terms supplied by an
+:class:`AllocationBiases` trading policy.
 """
 
 from __future__ import annotations
@@ -113,11 +113,6 @@ class AllocationBiases:
         _validate_terms("vm", self.vm_weight, self.vm_bias_s)
         _validate_terms("ccache", self.ccache_weight, self.ccache_bias_s)
 
-    def effective_age(self, owner: FrameOwner, age: float) -> float:
-        """Bias-adjusted age used for victim selection."""
-        weight, bias = self.terms_for(owner)
-        return age * weight + bias
-
     def terms_for(self, owner: FrameOwner) -> Tuple[float, float]:
         """TradingPolicy protocol: ``(weight, bias)`` for one owner."""
         if owner == FrameOwner.FILE_CACHE:
@@ -125,14 +120,6 @@ class AllocationBiases:
         if owner == FrameOwner.VM:
             return self.vm_weight, self.vm_bias_s
         return self.ccache_weight, self.ccache_bias_s
-
-    def for_owner(self, owner: FrameOwner) -> float:
-        """Additive component only (kept for introspection)."""
-        if owner == FrameOwner.FILE_CACHE:
-            return self.file_cache_bias_s
-        if owner == FrameOwner.VM:
-            return self.vm_bias_s
-        return self.ccache_bias_s
 
 
 @dataclass
@@ -369,46 +356,3 @@ class TieredAllocator:
                 best_age = effective
                 best = (key, pool)
         return best
-
-
-class ThreeWayAllocator(TieredAllocator):
-    """The paper's three-pool arbitration: VM, compression cache, file
-    cache, with age terms from an :class:`AllocationBiases` policy.
-
-    Pools register themselves once constructed; a pool slot left ``None``
-    simply never competes (e.g. no file cache in a pure-VM experiment).
-    Extra pools — the colder compressed tiers of an N-tier chain — join
-    through :meth:`TieredAllocator.register_pool` with explicit terms.
-    """
-
-    def __init__(
-        self,
-        frames: FramePool,
-        biases: AllocationBiases | None = None,
-        now_fn=None,
-    ):
-        super().__init__(
-            frames,
-            policy=biases if biases is not None else AllocationBiases(),
-            now_fn=now_fn,
-        )
-        # Pre-seed the three classic slots in FrameOwner declaration
-        # order so victim iteration (and tie-breaking) is stable and
-        # identical to the historical three-pool implementation.
-        for owner in FrameOwner:
-            self._pools[owner] = None
-            self._policy_keys.add(owner)
-            self.counters.victims[owner.value] = 0
-
-    @property
-    def biases(self) -> AllocationBiases:
-        """The three-pool trading policy (kept for introspection)."""
-        return self.policy
-
-    @biases.setter
-    def biases(self, value: AllocationBiases) -> None:
-        self.policy = value
-
-    def register(self, owner: FrameOwner, pool: MemoryPool) -> None:
-        """Attach the pool that manages ``owner``'s frames."""
-        self._pools[owner] = pool

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 
 class CompressionError(Exception):
@@ -106,18 +106,6 @@ class Compressor(ABC):
         for anything stateful, randomized, or not known to need it.
         """
         return None
-
-    def decompress_many(
-        self, results: Iterable[CompressionResult]
-    ) -> List[bytes]:
-        """Decompress a batch of results in one call.
-
-        One python call boundary for a whole demotion group, with the
-        method lookup amortized across the batch.  Pure content work —
-        safe to run speculatively.
-        """
-        decompress = self.decompress
-        return [decompress(result) for result in results]
 
     def compress_verified(self, data: bytes) -> CompressionResult:
         """Compress and immediately verify the round trip.

@@ -847,11 +847,7 @@ def run_tiers_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     total = faults["total"]
     chain = machine.chain
     total_frames = machine.frames.total_frames
-    # Frames the chain occupies hold compressed_pages pages' worth of
-    # data; everything else holds one page per frame.
-    effective = (
-        total_frames - chain.mapped_frames() + chain.compressed_pages()
-    )
+    effective = chain.effective_frames(total_frames)
     return {
         "elapsed_seconds": result.elapsed_seconds,
         "faults_total": total,
@@ -981,11 +977,8 @@ def run_kernels_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     raw_bytes = comp.pages_uncompressible * page_size
     stored = comp.bytes_out + raw_bytes
     total = comp.bytes_in + raw_bytes
-    chain = machine.chain
     total_frames = machine.frames.total_frames
-    effective = (
-        total_frames - chain.mapped_frames() + chain.compressed_pages()
-    )
+    effective = machine.chain.effective_frames(total_frames)
     cell: Dict[str, Any] = {
         "elapsed_seconds": result.elapsed_seconds,
         "faults_total": result.metrics_snapshot["faults"]["total"],
@@ -1354,9 +1347,7 @@ def run_control_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     total = faults["total"]
     chain = machine.chain
     total_frames = machine.frames.total_frames
-    effective = (
-        total_frames - chain.mapped_frames() + chain.compressed_pages()
-    )
+    effective = chain.effective_frames(total_frames)
     cell: Dict[str, Any] = {
         "elapsed_seconds": result.elapsed_seconds,
         "faults_total": total,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..ccache.allocator import AllocationBiases, ThreeWayAllocator
+from ..ccache.allocator import AllocationBiases, TieredAllocator
 from ..ccache.circular import CompressionCache
 from ..ccache.cleaner import CleanerPolicy
 from ..ccache.header import CODE_SIZE_BYTES, HASH_TABLE_BYTES, SLOT_DESCRIPTOR_BYTES
@@ -238,17 +238,22 @@ class Machine:
                 "known: ufs, lfs"
             )
         self.swap = StandardSwap(self.fs, page_size=config.page_size)
-        self.allocator = ThreeWayAllocator(
+        self.allocator = TieredAllocator(
             self.frames,
-            biases=config.biases,
+            policy=config.biases,
             now_fn=lambda: self.ledger.now,
         )
+        # Seed the three classic slots in FrameOwner declaration order so
+        # victim iteration (and tie-breaking) does not depend on the order
+        # in which the pools are built below; an empty slot never competes.
+        for owner in FrameOwner:
+            self.allocator.register_pool(owner, None)
         self.buffer_cache = BufferCache(
             self.fs,
             self.frames,
             frame_provider=self.allocator.obtain_frame,
         )
-        self.allocator.register(FrameOwner.FILE_CACHE, self.buffer_cache)
+        self.allocator.register_pool(FrameOwner.FILE_CACHE, self.buffer_cache)
 
         #: The compressed-page backing store (FragmentStore or
         #: LogStructuredStore — same duck-typed surface).
@@ -375,7 +380,7 @@ class Machine:
             # The warmest tier takes the classic compression slot (its
             # terms come from the trading policy); colder tiers compete
             # with their own per-spec terms.
-            self.allocator.register(FrameOwner.COMPRESSION, warmest.cache)
+            self.allocator.register_pool(FrameOwner.COMPRESSION, warmest.cache)
             for tier in self.chain.tiers[1:]:
                 self.allocator.register_pool(
                     f"cc:{tier.name}",

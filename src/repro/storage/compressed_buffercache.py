@@ -138,11 +138,6 @@ class CompressedBufferCache:
     # ------------------------------------------------------------------
 
     @property
-    def front_blocks(self) -> int:
-        """Blocks resident uncompressed."""
-        return len(self._front_frame)
-
-    @property
     def compressed_blocks(self) -> int:
         """Blocks held compressed."""
         return len(self._compressed)

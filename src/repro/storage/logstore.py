@@ -303,8 +303,9 @@ class LogStructuredStore:
 
     Duck-type compatible with :class:`~repro.storage.fragstore.
     FragmentStore` (put/get/peek/free/flush/contains/maybe_collect/
-    counters/live_pages/gc_generation), so it slots in behind
-    ``StoreTier`` and both VM architectures unchanged.
+    counters/live_pages/gc_generation), so it slots in behind the
+    terminal compressed tier, the tier chain's stats and both VM
+    architectures unchanged.
 
     Args:
         device: backing device charged for every transfer.  Appends are

@@ -11,16 +11,11 @@ This package provides that generalization:
 
 * :class:`~repro.tiers.spec.TierSpec` — declarative per-tier
   configuration (compressor, capacity, trading terms, cleaner);
-* :class:`~repro.tiers.protocol.MemoryTier` — the protocol every tier
-  implementation satisfies (admit / fault / demote / shrink / stats);
 * :class:`~repro.tiers.compressed.CompressedTier` — a compression cache
   configured as one tier, with a :class:`~repro.tiers.compressed.
   DemotionSink` recompressing write-outs into the next-colder tier;
-* :class:`~repro.tiers.uncompressed.UncompressedTier` and
-  :class:`~repro.tiers.store.StoreTier` — the warm and cold ends of the
-  chain (resident pages; fragment store + raw swap);
 * :class:`~repro.tiers.chain.TierChain` — the ordered chain the VM and
-  the external pager drive.
+  the external pager drive, over the fragment store and raw swap.
 
 The default machine configuration builds a one-element chain that is
 byte-identical to the historical single compression cache; see
@@ -30,20 +25,13 @@ example.
 
 from .chain import TierChain
 from .compressed import CompressedTier, DemotionSink
-from .protocol import MemoryTier, TierStats
 from .spec import TierSpec, parse_tier_specs, two_tier_specs
-from .store import StoreTier
-from .uncompressed import UncompressedTier
 
 __all__ = [
     "CompressedTier",
     "DemotionSink",
-    "MemoryTier",
-    "StoreTier",
     "TierChain",
     "TierSpec",
-    "TierStats",
-    "UncompressedTier",
     "parse_tier_specs",
     "two_tier_specs",
 ]

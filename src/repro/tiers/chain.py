@@ -1,7 +1,7 @@
 """The ordered tier chain the VM and pager drive.
 
-A :class:`TierChain` holds the compressed tiers warmest-first plus the
-terminal :class:`~repro.tiers.store.StoreTier`.  The paging layers ask
+A :class:`TierChain` holds the compressed tiers warmest-first over the
+backing store (fragment store plus raw swap).  The paging layers ask
 it page-location questions ("which tier holds this page?"), route
 admissions (evictions enter the warmest tier, store readmissions the
 coldest), and run each tier's cleaner.  With one compressed tier the
@@ -17,7 +17,6 @@ from ..mem.page import PageId
 from ..storage.fragstore import FragmentStore
 from ..storage.swap import StandardSwap
 from .compressed import CompressedTier
-from .store import StoreTier
 
 
 class TierChain:
@@ -35,7 +34,6 @@ class TierChain:
         if len(set(names)) != len(names):
             raise ValueError(f"tier names must be unique, got {names}")
         self.tiers: Tuple[CompressedTier, ...] = tuple(tiers)
-        self.store = StoreTier(fragstore, swap)
         self.fragstore = fragstore
         self.swap = swap
 
@@ -69,13 +67,13 @@ class TierChain:
                 return True
         return False
 
-    def compressed_pages(self) -> int:
-        """Pages held compressed in memory across all tiers."""
-        return sum(tier.cache.compressed_pages for tier in self.tiers)
-
-    def mapped_frames(self) -> int:
-        """Physical frames mapped by all compressed tiers."""
-        return sum(tier.cache.nframes for tier in self.tiers)
+    def effective_frames(self, total_frames: int) -> int:
+        """Page frames' worth of data memory holds: frames the chain maps
+        hold its compressed pages, every other frame holds one page."""
+        return total_frames + sum(
+            tier.cache.compressed_pages - tier.cache.nframes
+            for tier in self.tiers
+        )
 
     def demoted_pages(self) -> int:
         """Inter-tier demotions performed across the chain."""
@@ -87,6 +85,13 @@ class TierChain:
 
     def snapshot(self) -> List[dict]:
         """JSON-native per-tier stats, warmest first, store last."""
-        stats = [tier.stats().as_dict() for tier in self.tiers]
-        stats.append(self.store.stats().as_dict())
+        stats = [tier.stats() for tier in self.tiers]
+        stats.append({
+            "name": "store",
+            "kind": "store",
+            "frames": 0,
+            "pages": self.fragstore.live_pages,
+            "fragstore": self.fragstore.counters.snapshot(),
+            "swap": self.swap.counters.snapshot(),
+        })
         return stats

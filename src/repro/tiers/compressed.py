@@ -2,8 +2,7 @@
 
 :class:`CompressedTier` bundles what the machine used to wire ad hoc for
 its single cache — the circular buffer, a per-tier (per-kernel) sampler,
-the adaptive gate, and the cleaner policy — behind the
-:class:`~repro.tiers.protocol.MemoryTier` verbs.
+the adaptive gate, and the cleaner policy — and reports its stats.
 
 :class:`DemotionSink` is the piece that chains tiers together.  A
 :class:`~repro.ccache.circular.CompressionCache` "writes out" dirty
@@ -27,7 +26,7 @@ resilience layer models are I/O faults, which demotion does not perform).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from ..ccache.circular import CompressionCache
 from ..ccache.cleaner import CleanerPolicy
@@ -38,7 +37,6 @@ from ..mem.frames import OutOfFramesError
 from ..mem.page import PageId
 from ..sim.costs import CostModel
 from ..sim.ledger import Ledger, TimeCategory
-from .protocol import TierStats
 from .spec import TierSpec
 
 
@@ -66,57 +64,6 @@ class DemotionSink:
         # ask to demote the same page again before the first insert
         # lands; the nested call must be a no-op.
         self._in_flight: set = set()
-        # Speculatively pre-decompressed source payloads, keyed by page
-        # and by the exact payload object (see :meth:`prepare_group`).
-        self._prepared: Dict[PageId, Tuple[bytes, bytes]] = {}
-
-    def prepare_group(
-        self, items: Iterable[Tuple[PageId, bytes]]
-    ) -> None:
-        """Batch-decompress a demotion group's source payloads up front.
-
-        Pure content work — no ledger charges, no sampler counters — so
-        callers (the cleaner, the shrink path) may *speculate*: preparing
-        a page that is then never demoted, or demoted with a different
-        payload, costs only the wasted decompression and cannot move a
-        single simulation bit.  :meth:`put` consumes a prepared page only
-        when the payload object is the very one prepared.
-        """
-        source = self.source
-        prepared = self._prepared
-        prepared.clear()
-        pairs = [
-            (page_id, payload)
-            for page_id, payload in items
-            if page_id not in self._in_flight
-        ]
-        if not pairs:
-            return
-        page_size = self.page_size
-        datas = source.sampler.compressor.decompress_many(
-            CompressionResult(payload, page_size) for _, payload in pairs
-        )
-        for (page_id, payload), data in zip(pairs, datas):
-            prepared[page_id] = (payload, data)
-
-    def put_many(
-        self, items: Sequence[Tuple[PageId, bytes]]
-    ) -> float:
-        """Demote a group of pages a level colder in one call.
-
-        The source-kernel decompressions run as one batch
-        (:meth:`prepare_group`); every page then goes through exactly
-        the same charge → recompress → insert sequence as a lone
-        :meth:`put`, so ledger ordering, sampler counters, and
-        re-entrancy behaviour are bit-identical to N single-page calls.
-        Batching here is a constant-factor interpreter win, never a
-        semantic change.
-        """
-        self.prepare_group(items)
-        total = 0.0
-        for page_id, payload in items:
-            total += self.put(page_id, payload)
-        return total
 
     def put(self, page_id: PageId, payload: bytes) -> float:
         """Move one page a level colder; returns 0.0 (no I/O seconds).
@@ -133,13 +80,9 @@ class DemotionSink:
         # The source entry is still registered while its cache writes it
         # out, so the content version rides along to the colder copy.
         version = source.cache.entry_version(page_id)
-        hit = self._prepared.pop(page_id, None)
-        if hit is not None and hit[0] is payload:
-            data = hit[1]
-        else:
-            data = source.sampler.compressor.decompress(
-                CompressionResult(payload, self.page_size)
-            )
+        data = source.sampler.compressor.decompress(
+            CompressionResult(payload, self.page_size)
+        )
         self.ledger.charge(
             TimeCategory.DEMOTE,
             self.costs.decompress_seconds(self.page_size)
@@ -236,39 +179,14 @@ class CompressedTier:
     def name(self) -> str:
         return self.spec.name
 
-    # -- MemoryTier -----------------------------------------------------
-
-    def admit(
-        self,
-        page_id: PageId,
-        payload: bytes,
-        dirty: bool,
-        now: float,
-        content_version: int = -1,
-        on_backing_store: bool = False,
-    ) -> None:
-        self.cache.insert(
-            page_id,
-            payload,
-            dirty=dirty,
-            now=now,
-            on_backing_store=on_backing_store,
-            content_version=content_version,
-        )
-
-    def fault(
-        self, page_id: PageId, now: float, remove: bool = True
-    ) -> Tuple[bytes, bool]:
-        return self.cache.fetch(page_id, remove=remove, now=now)
-
-    def demote(self, max_pages: int) -> int:
-        return self.cache.clean_pages(max_pages)
-
-    def shrink(self) -> Optional[float]:
-        return self.cache.shrink_one()
-
-    def stats(self) -> TierStats:
-        counters = {
+    def stats(self) -> Dict[str, object]:
+        """JSON-native snapshot for metrics and reports."""
+        sink = self.sink
+        return {
+            "name": self.spec.name,
+            "kind": "compressed",
+            "frames": self.cache.nframes,
+            "pages": self.cache.compressed_pages,
             "compressor": self.spec.compressor,
             "compressed_pages": self.cache.compressed_pages,
             "live_bytes": self.cache.live_bytes,
@@ -278,26 +196,9 @@ class CompressedTier:
                 "hits": self.sampler.hits,
                 "misses": self.sampler.misses,
             },
-            "demoted_out": (
-                self.sink.demoted_pages if self.sink is not None else 0
-            ),
-            "spilled_out": (
-                self.sink.spilled_pages if self.sink is not None else 0
-            ),
+            "demoted_out": sink.demoted_pages if sink is not None else 0,
+            "spilled_out": sink.spilled_pages if sink is not None else 0,
         }
-        return TierStats(
-            name=self.spec.name,
-            kind="compressed",
-            frames=self.cache.nframes,
-            pages=self.cache.compressed_pages,
-            counters=counters,
-        )
-
-    def contains(self, page_id: PageId) -> bool:
-        return page_id in self.cache
-
-    def coldest_age(self, now: float) -> Optional[float]:
-        return self.cache.coldest_age(now)
 
     # -- chain plumbing -------------------------------------------------
 

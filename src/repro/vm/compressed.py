@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..ccache.allocator import ThreeWayAllocator
+from ..ccache.allocator import TieredAllocator
 from ..compression.base import CompressionError, CompressionResult
 from ..faults.errors import (
     FragmentChecksumError,
@@ -89,7 +89,7 @@ class CompressedVM(BaseVM):
         self,
         address_space: AddressSpace,
         frames: FramePool,
-        allocator: ThreeWayAllocator,
+        allocator: TieredAllocator,
         ledger: Ledger,
         costs: CostModel,
         chain: TierChain,

@@ -13,7 +13,7 @@ the paper's suggested Mach port would cost.
 
 from __future__ import annotations
 
-from ..ccache.allocator import ThreeWayAllocator
+from ..ccache.allocator import TieredAllocator
 from ..mem.frames import FramePool
 from ..mem.page import PageState
 from ..mem.pagetable import PageTableEntry
@@ -32,7 +32,7 @@ class ExternalPagerVM(BaseVM):
         self,
         address_space: AddressSpace,
         frames: FramePool,
-        allocator: ThreeWayAllocator,
+        allocator: TieredAllocator,
         ledger: Ledger,
         costs: CostModel,
         pager: MemoryObjectPager,

@@ -13,7 +13,7 @@ even the read-only thrasher do I/O.
 
 from __future__ import annotations
 
-from ..ccache.allocator import ThreeWayAllocator
+from ..ccache.allocator import TieredAllocator
 from ..mem.frames import FramePool
 from ..mem.page import PageState
 from ..mem.pagetable import PageTableEntry
@@ -32,7 +32,7 @@ class StandardVM(BaseVM):
         self,
         address_space: AddressSpace,
         frames: FramePool,
-        allocator: ThreeWayAllocator,
+        allocator: TieredAllocator,
         ledger: Ledger,
         costs: CostModel,
         swap: StandardSwap,

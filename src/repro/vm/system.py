@@ -12,7 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Optional
 
-from ..ccache.allocator import ThreeWayAllocator
+from ..ccache.allocator import TieredAllocator
 from ..mem.frames import FrameOwner, FramePool
 from ..mem.lru import LruList
 from ..mem.page import PageId, PageState
@@ -42,7 +42,7 @@ class BaseVM(ABC):
         self,
         address_space: AddressSpace,
         frames: FramePool,
-        allocator: ThreeWayAllocator,
+        allocator: TieredAllocator,
         ledger: Ledger,
         costs: CostModel,
         min_resident_frames: int = 2,
@@ -62,7 +62,7 @@ class BaseVM(ABC):
         #: Control-plane fault telemetry (host-side accounting only —
         #: never charges the clock); ``None`` on every default machine.
         self.telemetry = None
-        allocator.register(FrameOwner.VM, self)
+        allocator.register_pool(FrameOwner.VM, self)
 
     # ------------------------------------------------------------------
     # MemoryPool protocol (for the three-way allocator)

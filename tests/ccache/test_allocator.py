@@ -1,14 +1,11 @@
-"""Three-way allocator: age comparison, biases, victim selection."""
+"""Tiered allocator over the three classic pools: age comparison,
+biases, victim selection."""
 
 from typing import Optional
 
 import pytest
 
-from repro.ccache.allocator import (
-    AllocationBiases,
-    ThreeWayAllocator,
-    TieredAllocator,
-)
+from repro.ccache.allocator import AllocationBiases, TieredAllocator
 from repro.mem.frames import FrameOwner, FramePool, OutOfFramesError
 
 
@@ -40,15 +37,15 @@ class FakePool:
         return 0.0
 
 
-def make_world(nframes=4, biases=None):
+def make_world(nframes=4, biases=AllocationBiases()):
     frames = FramePool(nframes)
-    allocator = ThreeWayAllocator(frames, biases=biases)
+    allocator = TieredAllocator(frames, policy=biases)
     vm = FakePool(frames, FrameOwner.VM, age=10.0)
     cc = FakePool(frames, FrameOwner.COMPRESSION, age=10.0)
     fs = FakePool(frames, FrameOwner.FILE_CACHE, age=10.0)
-    allocator.register(FrameOwner.VM, vm)
-    allocator.register(FrameOwner.COMPRESSION, cc)
-    allocator.register(FrameOwner.FILE_CACHE, fs)
+    allocator.register_pool(FrameOwner.VM, vm)
+    allocator.register_pool(FrameOwner.COMPRESSION, cc)
+    allocator.register_pool(FrameOwner.FILE_CACHE, fs)
     return frames, allocator, vm, cc, fs
 
 
@@ -67,13 +64,13 @@ class TestVictimSelection:
         cc.grab(1)
         fs.grab(1)
         vm.age, cc.age, fs.age = 100.0, 5.0, 5.0
-        allocator = ThreeWayAllocator(
+        allocator = TieredAllocator(
             frames,
-            biases=AllocationBiases(0, 0, 0, 1.0, 1.0, 1.0),
+            policy=AllocationBiases(0, 0, 0, 1.0, 1.0, 1.0),
         )
-        allocator.register(FrameOwner.VM, vm)
-        allocator.register(FrameOwner.COMPRESSION, cc)
-        allocator.register(FrameOwner.FILE_CACHE, fs)
+        allocator.register_pool(FrameOwner.VM, vm)
+        allocator.register_pool(FrameOwner.COMPRESSION, cc)
+        allocator.register_pool(FrameOwner.FILE_CACHE, fs)
         allocator.obtain_frame(FrameOwner.COMPRESSION)
         assert vm.shrinks == 1
 
@@ -112,14 +109,14 @@ class TestVictimSelection:
 
     def test_zero_bias_degenerates_to_pure_lru(self):
         frames = FramePool(4)
-        allocator = ThreeWayAllocator(
+        allocator = TieredAllocator(
             frames,
-            biases=AllocationBiases(0, 0, 0, 1.0, 1.0, 1.0),
+            policy=AllocationBiases(0, 0, 0, 1.0, 1.0, 1.0),
         )
         vm = FakePool(frames, FrameOwner.VM, age=1.0)
         cc = FakePool(frames, FrameOwner.COMPRESSION, age=2.0)
-        allocator.register(FrameOwner.VM, vm)
-        allocator.register(FrameOwner.COMPRESSION, cc)
+        allocator.register_pool(FrameOwner.VM, vm)
+        allocator.register_pool(FrameOwner.COMPRESSION, cc)
         vm.grab(2)
         cc.grab(2)
         allocator.obtain_frame(FrameOwner.VM)
@@ -156,7 +153,7 @@ class TestRefusal:
 
     def test_nothing_registered_raises(self):
         frames = FramePool(1)
-        allocator = ThreeWayAllocator(frames)
+        allocator = TieredAllocator(frames, policy=AllocationBiases())
         frames.allocate(FrameOwner.VM)  # exhaust directly
         with pytest.raises(OutOfFramesError):
             allocator.obtain_frame(FrameOwner.VM)
@@ -165,9 +162,9 @@ class TestRefusal:
 class TestBiases:
     def test_for_owner(self):
         biases = AllocationBiases(30.0, 10.0, 0.0)
-        assert biases.for_owner(FrameOwner.FILE_CACHE) == 30.0
-        assert biases.for_owner(FrameOwner.VM) == 10.0
-        assert biases.for_owner(FrameOwner.COMPRESSION) == 0.0
+        assert biases.terms_for(FrameOwner.FILE_CACHE)[1] == 30.0
+        assert biases.terms_for(FrameOwner.VM)[1] == 10.0
+        assert biases.terms_for(FrameOwner.COMPRESSION)[1] == 0.0
 
 
 class TestBiasValidation:
@@ -201,10 +198,10 @@ class TestRegisterPool:
 
     def test_explicit_terms_pool_competes(self):
         frames = FramePool(4)
-        allocator = ThreeWayAllocator(frames)
+        allocator = TieredAllocator(frames, policy=AllocationBiases())
         vm = FakePool(frames, FrameOwner.VM, age=10.0)
         l2 = FakePool(frames, FrameOwner.COMPRESSION, age=10.0)
-        allocator.register(FrameOwner.VM, vm)
+        allocator.register_pool(FrameOwner.VM, vm)
         # A huge weight makes the extra pool the preferred victim even
         # against the VM pool's default weight of 6.
         allocator.register_pool("cc:l2", l2, weight=100.0, bias_s=0.0)
@@ -215,7 +212,7 @@ class TestRegisterPool:
         assert allocator.counters.snapshot()["cc:l2"] == 1
 
     def test_explicit_terms_validated_at_registration(self):
-        allocator = ThreeWayAllocator(FramePool(2))
+        allocator = TieredAllocator(FramePool(2), policy=AllocationBiases())
         with pytest.raises(ValueError, match="weight"):
             allocator.register_pool("cc:l2", None, weight=-1.0)
         with pytest.raises(ValueError, match="bias"):

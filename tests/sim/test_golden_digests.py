@@ -58,9 +58,28 @@ GOLDEN_EXACT = {
 }
 
 
+#: The unmodified system (``MachineConfig.baseline()``, a StandardVM)
+#: and the Mach-style external-pager architecture, memo mode at
+#: MEMO_SCALE.  Both wire the same frame allocator as the default runs,
+#: so these pin its pool seeding and victim tie-breaking from two more
+#: VM front ends.
+GOLDEN_BASELINE = {
+    "gold-warm": "f17e04089381842e6796c5e8f7944fc191899502d9858f993f39cf3bcc633355",
+    "thrasher": "e1fb4ae7063311d62b81dc1e25a5ecae69be0eeff0fe0d10147b6156d3405aef",
+}
+
+GOLDEN_EXTERNAL = {
+    "gold-warm": "f02d6e92406d6de7ec3120bc8cf6ebacc5cb5d44e68a4e108ac399c2aa50c290",
+    "thrasher": "5d189b11a1f6e5d04fac3cad4fba07dfce61e6afefc5bbd9bcd0230483a07963",
+}
+
+
 def run_digest(name: str, scale: float, exact: bool,
-               fast=None) -> str:
-    """Build the bench_sim machine for ``name`` and digest its RunResult."""
+               fast=None, variant=None) -> str:
+    """Build the bench_sim machine for ``name`` and digest its RunResult.
+
+    ``variant``, when given, maps the bench_sim config to the one run.
+    """
     from repro.cli import WORKLOAD_FACTORIES
 
     workload = WORKLOAD_FACTORIES[name](scale)
@@ -68,6 +87,8 @@ def run_digest(name: str, scale: float, exact: bool,
         memory_bytes=mbytes(6 * scale), exact_compression=exact,
         fast=fast,
     )
+    if variant is not None:
+        config = variant(config)
     machine = Machine(config, workload.build())
     refs = list(workload.references())
     result = SimulationEngine(machine).run(iter(refs))
@@ -120,4 +141,27 @@ def test_exact_mode_scalar_kernels_match_same_digest(name):
     ) == GOLDEN_EXACT[name], (
         f"{name}: forcing scalar kernels (fast=False) changed simulation "
         "output in exact mode — scalar and vectorized kernels diverged"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BASELINE))
+def test_unmodified_system_matches_digest(name):
+    assert run_digest(
+        name, MEMO_SCALE, exact=False, variant=MachineConfig.baseline
+    ) == GOLDEN_BASELINE[name], (
+        f"{name}: the unmodified system's (no compression cache) "
+        "simulation output changed"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXTERNAL))
+def test_external_pager_matches_digest(name):
+    assert run_digest(
+        name, MEMO_SCALE, exact=False,
+        variant=lambda config: config.variant(
+            vm_architecture="external-pager"
+        ),
+    ) == GOLDEN_EXTERNAL[name], (
+        f"{name}: the external-pager architecture's simulation output "
+        "changed"
     )

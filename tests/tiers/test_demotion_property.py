@@ -94,76 +94,6 @@ def test_demotion_only_without_reclaimable_warm_space(pages):
     )
 
 
-def test_batched_demotion_is_bit_identical_to_single_page_puts():
-    """The cleaner's prepare_group batch path changes no simulation bit.
-
-    Two identical machines run the same sweep; one then demotes through
-    the batched path (group pre-decompression), the other with batching
-    disabled (every put decompresses on its own, the pre-batch
-    behaviour).  Cleaned counts, ledger totals, and the colder tier's
-    payloads must be identical — batching is wall-clock only.
-    """
-    machine_a, seg_a = build_machine()
-    machine_b, seg_b = build_machine()
-    run_touches(machine_a, seg_a, list(range(NPAGES)))
-    run_touches(machine_b, seg_b, list(range(NPAGES)))
-
-    sink_a = machine_a.chain.warmest.sink
-    prepared_hits = []
-    orig_put = sink_a.put
-
-    def spying_put(page_id, payload):
-        hit = sink_a._prepared.get(page_id)
-        prepared_hits.append(hit is not None and hit[0] is payload)
-        return orig_put(page_id, payload)
-
-    sink_a.put = spying_put
-    machine_b.chain.warmest.sink.prepare_group = lambda items: None
-
-    cleaned_a = machine_a.chain.warmest.demote(8)
-    cleaned_b = machine_b.chain.warmest.demote(8)
-    assert cleaned_a == cleaned_b
-    assert prepared_hits and any(prepared_hits), (
-        "the batch path never consumed a prepared decompression"
-    )
-    assert machine_a.ledger.breakdown() == machine_b.ledger.breakdown()
-    l2_a = machine_a.chain.tiers[1].cache
-    l2_b = machine_b.chain.tiers[1].cache
-    entries_a = {h.page_id: h.compressed_size for h in l2_a.iter_entries()}
-    entries_b = {h.page_id: h.compressed_size for h in l2_b.iter_entries()}
-    assert entries_a == entries_b
-
-
-def test_put_many_equals_sequential_puts():
-    """DemotionSink.put_many == N put() calls, observably."""
-    machine_a, seg_a = build_machine()
-    machine_b, seg_b = build_machine()
-    run_touches(machine_a, seg_a, list(range(NPAGES)))
-    run_touches(machine_b, seg_b, list(range(NPAGES)))
-
-    def dirty_items(machine, count):
-        cache = machine.chain.warmest.cache
-        items = []
-        for header in cache.iter_entries():
-            if header.dirty:
-                payload, _ = cache.fetch(header.page_id, remove=False)
-                items.append((header.page_id, payload))
-            if len(items) == count:
-                break
-        return items
-
-    items_a = dirty_items(machine_a, 4)
-    items_b = dirty_items(machine_b, 4)
-    assert items_a == items_b and items_a
-    total_a = machine_a.chain.warmest.sink.put_many(items_a)
-    total_b = sum(
-        machine_b.chain.warmest.sink.put(pid, payload)
-        for pid, payload in items_b
-    )
-    assert total_a == total_b
-    assert machine_a.ledger.breakdown() == machine_b.ledger.breakdown()
-
-
 def test_sequential_sweep_demotes_and_respects_invariant():
     """Deterministic companion: a sweep over the whole segment is
     guaranteed to overflow the 6-frame L1 and drive real demotions."""
